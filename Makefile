@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-service bench-cluster bench-partition bench-slo report
+.PHONY: all build vet test race cover ci perfbench-check bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-service bench-cluster bench-partition bench-slo report
 
 all: ci
 
@@ -21,7 +21,13 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-ci: build vet test race bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
+ci: build vet test race perfbench-check bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
+
+# perfbench/ is a nested module (the repo benchmark) that compiles
+# against this module's API; the root `go test ./...` skips it, so
+# vet and test it on its own.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Coverage gate: per-package statement coverage printed and compared
 # against the checked-in floor; fails on regression. After genuinely

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/matmul"
 	"repro/internal/obs"
@@ -50,29 +49,6 @@ type Options struct {
 	// only, surfaced in the report's Timings-gated fields. Empty means
 	// the default "super".
 	InterpTier string
-
-	// memo receives the segment-cache hit/miss counters of every run
-	// result an experiment produces. RunSpec wires it so a report can
-	// total the cache's effectiveness; nil outside RunSpec.
-	memo *memoTally
-}
-
-// memoTally accumulates segment-cache counters across a spec's
-// experiment cells. Atomic because cells run on parallel host workers;
-// summation is commutative, so the totals are deterministic for any
-// parallelism.
-type memoTally struct {
-	hits, misses int64
-}
-
-// tally folds one run result's segment-cache counters into the spec's
-// totals (a no-op outside RunSpec).
-func (o Options) tally(res pasm.RunResult) {
-	if o.memo == nil {
-		return
-	}
-	atomic.AddInt64(&o.memo.hits, res.MemoHits)
-	atomic.AddInt64(&o.memo.misses, res.MemoMisses)
 }
 
 // DefaultOptions returns quick-set options with the prototype config.
@@ -133,7 +109,6 @@ func (r *runner) exec(spec matmul.Spec) (pasm.RunResult, error) {
 	if err != nil {
 		return pasm.RunResult{}, err
 	}
-	r.opts.tally(res)
 	r.obs.done(rec)
 	if !matmul.Equal(c, b) {
 		return pasm.RunResult{}, fmt.Errorf("experiments: %s n=%d p=%d muls=%d computed a wrong product",

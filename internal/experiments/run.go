@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pasm"
@@ -27,6 +26,12 @@ const SchemaV21 = "pasmbench/v2.1"
 // with the key's spec.
 const SchemaV22 = "pasmbench/v2.2"
 
+// SchemaV23 drops the segment-cache totals (interp.memo_hits and
+// interp.memo_misses) from v2.2: the MIMD segment cache is gone, so
+// the interp block carries only the tier. Every other v2.2 field is
+// intact.
+const SchemaV23 = "pasmbench/v2.3"
+
 // Result is what every experiment produces: a rendered table. Concrete
 // results usually also implement Summarizer and sometimes Plotter.
 type Result interface{ Render() string }
@@ -48,21 +53,20 @@ type ReportExperiment struct {
 	Summary     map[string]float64 `json:"summary,omitempty"`
 }
 
-// InterpInfo is the report's v2.1 observe-section extension: which
-// interpreter tier simulated the spec and how the segment cache
-// behaved. The simulated numbers are identical for every tier (the
-// differential tests enforce it), so this records provenance and
-// cache effectiveness, not semantics. The counters are totals across
-// every cell's VM; summation is commutative, so they are
-// deterministic for any host parallelism.
+// InterpInfo is the report's interpreter provenance: which tier
+// simulated the spec. The simulated numbers are identical for every
+// tier (the differential tests enforce it), so this records
+// provenance, not semantics.
 type InterpInfo struct {
-	Tier       string `json:"tier"`
-	MemoHits   int64  `json:"memo_hits"`
-	MemoMisses int64  `json:"memo_misses"`
+	Tier string `json:"tier"`
+
+	// Deprecated: MemoHits and MemoMisses are always zero and never
+	// serialized; the segment cache they counted no longer exists.
+	MemoHits, MemoMisses int64 `json:"-"`
 }
 
 // Report is the machine-readable result of running a Spec: the
-// pasmbench -json v2.1 document. All summary values are simulated
+// pasmbench -json v2.3 document. All summary values are simulated
 // quantities; with Timings disabled the whole document is a pure
 // function of (Spec, CodeVersion, interpreter tier), which is what
 // lets the service cache it and the remote CLI byte-compare it
@@ -185,13 +189,12 @@ func RunSpecContext(ctx context.Context, spec Spec, rc RunConfig) (*Report, erro
 	opts.Seed = n.Seed
 	opts.Observe = n.Observe
 	applyPEs(&opts.Config, n.PEs)
-	opts.memo = &memoTally{}
 	if opts.InterpTier == "" {
 		opts.InterpTier = "super"
 	}
 
 	report := &Report{
-		Schema:  SchemaV22,
+		Schema:  SchemaV23,
 		Full:    n.Full,
 		PEs:     n.PEs,
 		Seed:    n.Seed,
@@ -234,11 +237,7 @@ func RunSpecContext(ctx context.Context, spec Spec, rc RunConfig) (*Report, erro
 			return nil, err
 		}
 	}
-	report.Interp = &InterpInfo{
-		Tier:       opts.InterpTier,
-		MemoHits:   atomic.LoadInt64(&opts.memo.hits),
-		MemoMisses: atomic.LoadInt64(&opts.memo.misses),
-	}
+	report.Interp = &InterpInfo{Tier: opts.InterpTier}
 	if rc.Timings {
 		report.HostSeconds = time.Since(suiteStart).Seconds()
 	}

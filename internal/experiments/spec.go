@@ -23,7 +23,8 @@ const SpecVersion = 2
 // counts, program generation, report schema) must bump it — cached
 // results from the old code then miss instead of serving stale bytes.
 // v3: reports echo the machine size (schema pasmbench/v2.2).
-const CodeVersion = "pasm-sim/3"
+// v4: reports drop the segment-cache counters (schema pasmbench/v2.3).
+const CodeVersion = "pasm-sim/4"
 
 // DefaultPEs is the machine size a spec that does not name one gets:
 // the 16-PE prototype every paper experiment models.

@@ -61,7 +61,6 @@ func Workloads(opts Options) (*WorkloadsResult, error) {
 			if err != nil {
 				return WorkloadRow{}, fmt.Errorf("experiments: smoothing %s: %w", mode, err)
 			}
-			opts.tally(res)
 			if !smoothing.Equal(got, wantImg) {
 				return WorkloadRow{}, fmt.Errorf("experiments: smoothing %s produced a wrong image", mode)
 			}
@@ -86,7 +85,6 @@ func Workloads(opts Options) (*WorkloadsResult, error) {
 			if err != nil {
 				return WorkloadRow{}, fmt.Errorf("experiments: reduce %s: %w", mode, err)
 			}
-			opts.tally(res)
 			for i, s := range sums {
 				if s != wantSum {
 					return WorkloadRow{}, fmt.Errorf("experiments: reduce %s: PE %d sum %d != %d", mode, i, s, wantSum)

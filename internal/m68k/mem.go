@@ -64,22 +64,6 @@ func (m *Memory) Penalty(clock int64, accesses int64) int64 {
 	return p
 }
 
-// RefreshPhase returns the refresh model's state relative to the
-// given CPU clock: the cycles until the next chargeable refresh
-// collision (<= 0 means the next access collides). Penalty depends on
-// the clock only through this value, so two machine states with equal
-// phase behave identically — the property the PASM segment
-// memoization relies on to key and replay refresh interference.
-func (m *Memory) RefreshPhase(clock int64) int64 {
-	return m.nextRefresh - clock
-}
-
-// SetRefreshPhase restores the refresh state captured by RefreshPhase
-// against a (possibly different) CPU clock.
-func (m *Memory) SetRefreshPhase(clock, phase int64) {
-	m.nextRefresh = clock + phase
-}
-
 // AddressError reports an odd-address word/long access, which the
 // MC68000 raises as an address-error exception. The simulator surfaces
 // it as a program error.

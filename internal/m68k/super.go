@@ -97,9 +97,7 @@ func (p *Program) BasicBlocks() []BasicBlock {
 }
 
 // BlockIndexOf returns the index (into BasicBlocks) of the basic
-// block containing instruction pc, or -1 when pc is out of range. The
-// PASM segment-memoization layer uses it as the block component of
-// its cache keys.
+// block containing instruction pc, or -1 when pc is out of range.
 func (p *Program) BlockIndexOf(pc int) int {
 	p.super()
 	if pc < 0 || pc >= len(p.blockOf) {
@@ -624,9 +622,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		c.N, c.Z, c.V, c.C = v&signBit(op.size) != 0, v == 0, false, false
 		c.D[op.reg] = merge(c.D[op.reg], v, op.size)
 		c.superIncDec(op)
@@ -642,9 +637,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, true)
-		}
 		c.N, c.Z, c.V, c.C = v&signBit(op.size) != 0, v == 0, false, false
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -663,9 +655,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		c.A[op.reg] = signExtTo32(v, op.size)
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -694,9 +683,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, 0, true)
-		}
 		c.N, c.Z, c.V, c.C = false, true, false, false
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -719,9 +705,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, src, false)
-		}
 		old := mask(c.D[op.reg], op.size)
 		r, f := aluOp(op.op8, old, src, op.size)
 		c.D[op.reg] = merge(c.D[op.reg], r, op.size)
@@ -744,10 +727,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, 2*op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, old, false)
-			c.MemWatch(addr, op.size, mask(r, op.size), true)
-		}
 		c.applyFlags(f)
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -770,9 +749,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, src, false)
-		}
 		dst := mask(c.D[op.reg], op.size)
 		f := subFlags(dst, src, dst-src, op.size)
 		f.setX = false
@@ -799,9 +775,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		s32 := signExtTo32(v, op.size)
 		if op.op8 == ADDA {
 			c.A[op.reg] += s32
@@ -834,9 +807,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		c.N, c.Z, c.V, c.C = v&signBit(op.size) != 0, v == 0, false, false
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -949,7 +919,7 @@ func (c *CPU) runSuper(maxSteps int64) Status {
 			steps += n
 			continue
 		}
-		if op.loopEnd != 0 && c.Trace == nil && c.MemWatch == nil {
+		if op.loopEnd != 0 && c.Trace == nil {
 			if op.kern {
 				if n := c.runKernelLoop(sup, pc, int(op.loopEnd), maxSteps-steps); n > 0 {
 					steps += n
@@ -1022,8 +992,8 @@ func memStore(data []byte, addr uint32, sz Size, val uint32) {
 // self-loop block (body of whitelisted micro-ops ending in a DBcc back
 // to the block start) in a single tight loop with the memory model's
 // wait-state/refresh arithmetic inlined and data accessed directly,
-// eliminating per-instruction dispatch. It is entered only with trace
-// and memory-watch callbacks off; all other semantics — penalty call
+// eliminating per-instruction dispatch. It is entered only with the
+// trace callback off; all other semantics — penalty call
 // order (fetch then data, both at the instruction-start clock), refresh
 // phase evolution, flag materialization, region charges, step budget —
 // are identical to execSuperOp, which the differential tests verify.

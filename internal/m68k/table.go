@@ -389,9 +389,6 @@ func execJSR(c *CPU, in *Instr, cycles, _ int64, next int) Status {
 	if err := c.Mem.Write(sp, Long, uint32(next)); err != nil {
 		return c.errf(in, "stack push: %v", err)
 	}
-	if c.MemWatch != nil {
-		c.MemWatch(sp, Long, uint32(next), true)
-	}
 	cycles += c.Mem.Penalty(c.Clock, 2)
 	c.A[7] = sp
 	return c.commit(in, cycles, int(in.Dst.Val))
@@ -401,9 +398,6 @@ func execRTS(c *CPU, in *Instr, cycles, _ int64, _ int) Status {
 	v, err := c.Mem.Read(c.A[7], Long)
 	if err != nil {
 		return c.errf(in, "stack pop: %v", err)
-	}
-	if c.MemWatch != nil {
-		c.MemWatch(c.A[7], Long, v, false)
 	}
 	cycles += c.Mem.Penalty(c.Clock, 2)
 	c.A[7] += 4

@@ -10,8 +10,7 @@ import (
 
 // tier selects one of the three interpreter configurations under
 // differential test: the dynamic reference path, the pre-resolved
-// execution table, and the superinstruction tier with segment
-// memoization on top.
+// execution table, and the superinstruction tier.
 type tier int
 
 const (
@@ -39,10 +38,8 @@ func (tr tier) apply(cfg *pasm.Config) {
 	switch tr {
 	case tierReference:
 		cfg.DisableExecTable = true
-		cfg.DisableSegmentMemo = true
 	case tierTable:
 		cfg.DisableSuperinstructions = true
-		cfg.DisableSegmentMemo = true
 	}
 }
 
@@ -114,13 +111,9 @@ func diffObs(t *testing.T, label string, ref, got *obs.Recorder) {
 }
 
 // diffResults requires two run results to describe the same simulated
-// execution. The segment-cache hit/miss counters are host-side
-// diagnostics that legitimately differ across tiers, so they are
-// normalized away before comparison.
+// execution.
 func diffResults(t *testing.T, label string, ref, got pasm.RunResult) {
 	t.Helper()
-	ref.MemoHits, ref.MemoMisses = 0, 0
-	got.MemoHits, got.MemoMisses = 0, 0
 	if !reflect.DeepEqual(ref, got) {
 		t.Errorf("%s: run results differ:\nreference: %+v\ngot:       %+v", label, ref, got)
 	}
@@ -128,12 +121,12 @@ func diffResults(t *testing.T, label string, ref, got pasm.RunResult) {
 
 // TestInterpreterTierEquivalenceAllPrograms runs all generated
 // matrix-multiplication programs through the 3-way interpreter matrix
-// — dynamic reference, exec table, superinstructions + segment memo —
-// and requires identical cycle counts, per-PE clocks, region
-// breakdowns, instruction counts, results, and (event for event)
-// identical observability streams. The super tier additionally runs
-// with parallel host workers, so `go test -race` exercises the memo
-// layer's per-PE isolation.
+// — dynamic reference, exec table, superinstructions — and requires
+// identical cycle counts, per-PE clocks, region breakdowns,
+// instruction counts, results, and (event for event) identical
+// observability streams. The super tier additionally runs with
+// parallel host workers, so `go test -race` exercises the DES
+// engine's per-PE isolation.
 func TestInterpreterTierEquivalenceAllPrograms(t *testing.T) {
 	const n, p = 8, 4
 	a := Identity(n)
@@ -161,11 +154,10 @@ func TestInterpreterTierEquivalenceAllPrograms(t *testing.T) {
 	}
 }
 
-// TestSegmentMemoReplayIdentity reruns the same MIMD program on one VM
-// so the second run replays segments recorded by the first, and
-// requires the replayed run to be indistinguishable from a fresh
-// memo-off execution.
-func TestSegmentMemoReplayIdentity(t *testing.T) {
+// TestVMReuseIdentity reruns the same MIMD program on one VM and
+// requires every rerun to be indistinguishable from a run on a fresh
+// VM: nothing a run leaves in the VM may change the next one.
+func TestVMReuseIdentity(t *testing.T) {
 	const n, p = 16, 4
 	a := Identity(n)
 	b := Random(n, 0xFACE)
@@ -178,15 +170,17 @@ func TestSegmentMemoReplayIdentity(t *testing.T) {
 	if need := l.MemBytes(); cfg.PEMemBytes < need {
 		cfg.PEMemBytes = need
 	}
-	vm, err := pasm.NewVM(cfg, l.P)
-	if err != nil {
-		t.Fatal(err)
+	newVM := func() *pasm.VM {
+		vm, err := pasm.NewVM(cfg, l.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.EstablishShift(); err != nil {
+			t.Fatal(err)
+		}
+		return vm
 	}
-	if err := vm.EstablishShift(); err != nil {
-		t.Fatal(err)
-	}
-	var first pasm.RunResult
-	for run := 0; run < 3; run++ {
+	run := func(vm *pasm.VM) pasm.RunResult {
 		if err := Load(vm, l, a, b); err != nil {
 			t.Fatal(err)
 		}
@@ -199,18 +193,15 @@ func TestSegmentMemoReplayIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !Equal(c, Reference(a, b)) {
-			t.Fatalf("run %d: wrong product", run)
+			t.Fatal("wrong product")
 		}
-		res.MemoHits, res.MemoMisses = 0, 0
-		if run == 0 {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(res, first) {
-			t.Errorf("run %d diverged from run 0:\nfirst: %+v\ngot:   %+v", run, first, res)
-		}
+		return res
 	}
-	if vm.MemoHits() == 0 {
-		t.Error("segment cache never replayed across identical reruns")
+	fresh := run(newVM())
+	vm := newVM()
+	for i := 0; i < 3; i++ {
+		if got := run(vm); !reflect.DeepEqual(got, fresh) {
+			t.Errorf("run %d on a reused VM diverged from a fresh VM:\nfresh: %+v\ngot:   %+v", i, fresh, got)
+		}
 	}
 }

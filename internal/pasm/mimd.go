@@ -48,7 +48,6 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 	}
 	vm.wireObsPEs(cpus)
 
-	memoH, memoM := vm.MemoHits(), vm.MemoMisses()
 	if err := vm.runDES(cpus, false); err != nil {
 		return RunResult{}, err
 	}
@@ -69,8 +68,6 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 	res.BarrierRounds = vm.bar.rounds
 	res.NetTransfers = vm.net.transfers
 	res.NetReconfigs = vm.net.reconfigs
-	res.MemoHits = vm.MemoHits() - memoH
-	res.MemoMisses = vm.MemoMisses() - memoM
 	vm.finishObsPEs(cpus)
 	return res, nil
 }
@@ -126,32 +123,16 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 		return nil
 	}
 
-	var total int64
-	// run executes one PE's computation segment to its next device
-	// operation (or halt/park/error). The shared step budget is
-	// consumed atomically so parallel segments observe the same
-	// runaway guard as serial execution.
-	run := func(cpu *m68k.CPU) (m68k.Status, bool, int64) {
-		var slices int64
-		for {
-			st := cpu.Run(memoSliceSteps)
-			slices++
-			if atomic.AddInt64(&total, memoSliceSteps) > vm.Cfg.MaxSteps {
-				return st, true, slices
-			}
-			if st != m68k.StatusOK {
-				return st, false, slices
-			}
-			// Budget slice exhausted; keep running.
+	// advance executes one PE's computation segment to its next device
+	// operation (or halt/park/error) within what is left of the PE's
+	// own step budget, reporting overrun when the budget ran out first.
+	advance := func(cpu *m68k.CPU) (m68k.Status, bool) {
+		left := vm.Cfg.MaxSteps - cpu.InstrCount
+		if left <= 0 {
+			return m68k.StatusOK, true
 		}
-	}
-	memo := vm.memoFor(cpus[0].Prog, len(cpus))
-	advance := func(i int, cpu *m68k.CPU) (m68k.Status, bool) {
-		if memo != nil {
-			return memo.advance(vm, i, cpu, &total, run)
-		}
-		st, overrun, _ := run(cpu)
-		return st, overrun
+		st := cpu.Run(left)
+		return st, st == m68k.StatusOK
 	}
 	var runIdx []int
 	sts := make([]m68k.Status, len(cpus))
@@ -162,7 +143,7 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 		// The segments are independent — PEs share no memory and a
 		// disarmed device bus refuses access before touching any
 		// shared network or barrier state — so they may execute on
-		// separate host goroutines. All engine state (state[], total
+		// separate host goroutines. All engine state (state[],
 		// overrun, classification order) is updated serially after the
 		// join, in PE index order, keeping the simulation
 		// byte-identical to serial execution.
@@ -187,14 +168,14 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 						if k >= len(runIdx) {
 							return
 						}
-						sts[k], overrun[k] = advance(runIdx[k], cpus[runIdx[k]])
+						sts[k], overrun[k] = advance(cpus[runIdx[k]])
 					}
 				}()
 			}
 			wg.Wait()
 		} else {
 			for k, i := range runIdx {
-				sts[k], overrun[k] = advance(i, cpus[i])
+				sts[k], overrun[k] = advance(cpus[i])
 			}
 		}
 		live := false

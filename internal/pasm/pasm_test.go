@@ -464,6 +464,67 @@ func TestMIMDProgramErrorPropagates(t *testing.T) {
 	}
 }
 
+// tierConfigs are the interpreter tiers the step-budget tests cover.
+var tierConfigs = map[string]func(*Config){
+	"reference": func(c *Config) { c.DisableExecTable = true },
+	"table":     func(c *Config) { c.DisableSuperinstructions = true },
+	"super":     func(*Config) {},
+}
+
+// TestMIMDStepBudgetIsPerPE pins Config.MaxSteps as a bound on each
+// PE's own instruction count: many short barrier-separated segments
+// must not exhaust it however small each segment is.
+func TestMIMDStepBudgetIsPerPE(t *testing.T) {
+	prog := m68k.MustAssemble(`
+		movea.l #$F00000, a4
+		moveq   #39, d0
+	l:	move.w  (a4), d7        ; barrier
+		dbra    d0, l
+		halt
+	`)
+	for name, tier := range tierConfigs {
+		vm := newTestVM(t, 4, func(c *Config) {
+			tier(c)
+			c.MaxSteps = 1 << 20
+		})
+		res, err := vm.RunMIMD(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.BarrierRounds != 40 {
+			t.Errorf("%s: barrier rounds = %d, want 40", name, res.BarrierRounds)
+		}
+	}
+}
+
+// TestMIMDRunawayExceedsSteps checks that the budget still stops a PE
+// that never reaches a device operation, and one spinning between
+// barriers.
+func TestMIMDRunawayExceedsSteps(t *testing.T) {
+	progs := map[string]string{
+		"spin": `
+	l:	bra     l
+		`,
+		"barrier": `
+		movea.l #$F00000, a4
+	l:	move.w  (a4), d7
+		bra     l
+		`,
+	}
+	for pname, src := range progs {
+		for name, tier := range tierConfigs {
+			vm := newTestVM(t, 4, func(c *Config) {
+				tier(c)
+				c.MaxSteps = 1 << 12
+			})
+			_, err := vm.RunMIMD(m68k.MustAssemble(src))
+			if err == nil || !strings.Contains(err.Error(), "exceeded 4096 steps") {
+				t.Errorf("%s/%s: err = %v, want step budget exceeded", pname, name, err)
+			}
+		}
+	}
+}
+
 func TestSIMDRejectsControlFlowInBlock(t *testing.T) {
 	vm := newTestVM(t, 2, nil)
 	prog := m68k.MustAssemble(`

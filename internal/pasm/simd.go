@@ -81,7 +81,6 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 
 	var mcSteps int64
 	var mcStall, peStarve int64
-	memoH, memoM := vm.MemoHits(), vm.MemoMisses()
 	type issue struct {
 		blk   m68k.BlockRange
 		ready bool
@@ -264,8 +263,6 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 	}
 	res.MCStallCycles = mcStall
 	res.PEStarveCycles = peStarve
-	res.MemoHits = vm.MemoHits() - memoH
-	res.MemoMisses = vm.MemoMisses() - memoM
 	res.BarrierRounds = vm.bar.rounds
 	res.NetTransfers = vm.net.transfers
 	res.NetReconfigs = vm.net.reconfigs

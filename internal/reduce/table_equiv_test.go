@@ -35,10 +35,8 @@ func (tr tier) apply(cfg *pasm.Config) {
 	switch tr {
 	case tierReference:
 		cfg.DisableExecTable = true
-		cfg.DisableSegmentMemo = true
 	case tierTable:
 		cfg.DisableSuperinstructions = true
-		cfg.DisableSegmentMemo = true
 	}
 }
 
@@ -83,11 +81,10 @@ func executeWith(t *testing.T, spec Spec, v []uint16, tr tier, workers int) (pas
 
 // TestInterpreterTierEquivalenceReduce runs every reduction program
 // variant through the 3-way interpreter matrix — dynamic reference,
-// exec table, superinstructions + segment memo — and requires
-// identical run results (cycle counts, per-PE clocks, region
-// breakdowns), identical sums, and event-for-event identical
-// observability streams. The super tier runs with parallel host
-// workers so `go test -race` exercises the memo layer's per-PE
+// exec table, superinstructions — and requires identical run results
+// (cycle counts, per-PE clocks, region breakdowns), identical sums,
+// and event-for-event identical observability streams. The super tier runs with parallel host
+// workers so `go test -race` exercises the DES engine's per-PE
 // isolation.
 func TestInterpreterTierEquivalenceReduce(t *testing.T) {
 	const n, p = 64, 8
@@ -104,7 +101,6 @@ func TestInterpreterTierEquivalenceReduce(t *testing.T) {
 				workers = 4
 			}
 			res, sums, rec := executeWith(t, spec, v, tr, workers)
-			res.MemoHits, res.MemoMisses = 0, 0
 			for i, s := range sums {
 				if s != want {
 					t.Errorf("%v/%v: PE %d sum = %d, want %d", mode, tr, i, s, want)

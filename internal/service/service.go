@@ -1131,7 +1131,7 @@ func validateFillPayload(norm experiments.Spec, result []byte) error {
 	if err := dec.Decode(&rep); err != nil {
 		return fmt.Errorf("service: fill payload is not a report document: %w", err)
 	}
-	if rep.Schema != experiments.SchemaV22 {
+	if rep.Schema != experiments.SchemaV23 {
 		return fmt.Errorf("service: fill payload has unknown schema %q", rep.Schema)
 	}
 	canon, err := rep.Marshal()

@@ -399,7 +399,7 @@ func waitRunning(t *testing.T, s *Service, id string) {
 func fillBody(t *testing.T, seed uint32) []byte {
 	t.Helper()
 	rep := &experiments.Report{
-		Schema:      experiments.SchemaV22,
+		Schema:      experiments.SchemaV23,
 		PEs:         experiments.DefaultPEs,
 		Seed:        seed,
 		Experiments: []experiments.ReportExperiment{{Name: "table1"}},
@@ -474,29 +474,29 @@ func TestFillValidation(t *testing.T) {
 		body []byte
 	}{
 		{"arbitrary bytes", []byte(`{"filled":"report"}` + "\n")},
-		{"unknown field", []byte(`{"schema":"pasmbench/v2.2","full":false,"pes":16,"seed":7,"observe":false,"experiments":[{"name":"table1"}],"evil":1}` + "\n")},
-		{"non-canonical encoding", []byte(`{"schema":"pasmbench/v2.2","full":false,"pes":16,"seed":7,"observe":false,"experiments":[{"name":"table1"}]}` + "\n")},
+		{"unknown field", []byte(`{"schema":"pasmbench/v2.3","full":false,"pes":16,"seed":7,"observe":false,"experiments":[{"name":"table1"}],"evil":1}` + "\n")},
+		{"non-canonical encoding", []byte(`{"schema":"pasmbench/v2.3","full":false,"pes":16,"seed":7,"observe":false,"experiments":[{"name":"table1"}]}` + "\n")},
 		{"wrong seed", fillBody(t, 8)},
 		{"stale schema", func() []byte {
-			rep := &experiments.Report{Schema: experiments.SchemaV21, PEs: experiments.DefaultPEs, Seed: 7,
+			rep := &experiments.Report{Schema: experiments.SchemaV22, PEs: experiments.DefaultPEs, Seed: 7,
 				Experiments: []experiments.ReportExperiment{{Name: "table1"}}}
 			b, _ := rep.Marshal()
 			return b
 		}()},
 		{"wrong pes", func() []byte {
-			rep := &experiments.Report{Schema: experiments.SchemaV22, PEs: 64, Seed: 7,
+			rep := &experiments.Report{Schema: experiments.SchemaV23, PEs: 64, Seed: 7,
 				Experiments: []experiments.ReportExperiment{{Name: "table1"}}}
 			b, _ := rep.Marshal()
 			return b
 		}()},
 		{"wrong experiments", func() []byte {
-			rep := &experiments.Report{Schema: experiments.SchemaV22, PEs: experiments.DefaultPEs, Seed: 7,
+			rep := &experiments.Report{Schema: experiments.SchemaV23, PEs: experiments.DefaultPEs, Seed: 7,
 				Experiments: []experiments.ReportExperiment{{Name: "fig6"}}}
 			b, _ := rep.Marshal()
 			return b
 		}()},
 		{"host timings", func() []byte {
-			rep := &experiments.Report{Schema: experiments.SchemaV22, PEs: experiments.DefaultPEs, Seed: 7, HostSeconds: 1.5,
+			rep := &experiments.Report{Schema: experiments.SchemaV23, PEs: experiments.DefaultPEs, Seed: 7, HostSeconds: 1.5,
 				Experiments: []experiments.ReportExperiment{{Name: "table1"}}}
 			b, _ := rep.Marshal()
 			return b

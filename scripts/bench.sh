@@ -15,7 +15,7 @@
 # baseline's simulated numbers exactly.
 #
 # The `interp` mode measures per-row simulation-only MIPS for each
-# interpreter tier (reference / exec-table / superinstructions+memo)
+# interpreter tier (reference / exec-table / superinstructions)
 # via cmd/interpbench and writes BENCH_interp.json; with a third
 # argument it additionally fails if the super tier's speedup ratios
 # regressed below that recorded document (the `make bench-interp` CI
@@ -63,7 +63,7 @@ grep -E '"(name|host_seconds)"' "$out" | sed 's/^ *//' | head -40
 
 # strip removes every host- or schema-dependent line so two runs can be
 # compared on simulated content alone: wall clock, parallelism, schema
-# markers, and the v2.1 interp block (tier provenance + cache counters).
+# markers, and the interp block (tier provenance).
 strip() {
     sed '/"interp": {/,/}/d' "$1" |
         grep -Ev '"(host_seconds|parallel|schema|observe)":'
