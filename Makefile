@@ -115,8 +115,8 @@ bench-json:
 	scripts/bench.sh
 
 # Partitioned co-scheduling benchmark: the ext-partition sweep on a
-# 64-PE machine — mixed-size job storm under each scheduling policy vs
-# the serial whole-machine baseline (writes BENCH_partition.json).
+# 64-PE machine — mixed-size job storm packed first-fit vs the serial
+# whole-machine baseline (writes BENCH_partition.json).
 bench-partition:
 	scripts/bench.sh partition
 

@@ -13,7 +13,7 @@
 //	      [-queue 64] [-workers 2] [-parallel N]
 //	      [-sched fcfs|sjf] [-classes "interactive=50,batch=0"]
 //	      [-starve-limit 8] [-admit-rate 0] [-admit-burst 8]
-//	      [-machine-pes 0] [-policy firstfit]
+//	      [-machine-pes 0]
 //	      [-cache-entries 256] [-cache-bytes N]
 //	      [-fill-secret SECRET]
 //	      [-trace-sample 0] [-trace-ring 64] [-debug-addr ADDR]
@@ -35,14 +35,14 @@
 // clients identified by X-Pasm-Client (or "client" body field) above
 // their rate get 429 + Retry-After before consuming a queue slot.
 //
-// -machine-pes switches the instance to partition mode: instead of a
-// fixed worker pool, jobs are packed onto subcube partitions of one
-// shared machine of that many PEs (a power of two up to 1024). Each
-// job runs inside a partition of its spec's pes — results are
-// byte-identical to the classic path — and -policy picks which
-// pending job gets a freed partition (firstfit, bestfit, sizeaware).
-// Partition occupancy and fragmentation appear under "partition/" in
-// /metrics. 0 (the default) keeps the classic worker pool.
+// -machine-pes switches the instance to partition mode: instead of
+// -workers whole-machine slots, the dispatcher packs jobs onto subcube
+// partitions of one shared machine of that many PEs (a power of two
+// up to 1024). Each job runs inside a partition of its spec's pes —
+// results are byte-identical to the pool path — and a freed partition
+// goes to the first job in -sched order that fits. Partition occupancy
+// and fragmentation appear under "partition/" in /metrics. 0 (the
+// default) keeps the worker pool.
 //
 // -trace-sample arms request tracing: requests arriving with an
 // X-Pasm-Trace header are always traced (the upstream hop paid the
@@ -52,7 +52,7 @@
 // /debug/requests and exportable as a merged Perfetto trace at
 // /debug/requests/{trace}/perfetto. -trace-ring bounds retention.
 //
-// -debug-addr starts a second listener serving net/http/pprof; worker
+// -debug-addr starts a second listener serving net/http/pprof; job
 // goroutines run under a pprof label pasm_trace=<trace id> so CPU
 // profiles can be sliced per traced request.
 //
@@ -115,8 +115,7 @@ func run() int {
 	addrFile := flag.String("addr-file", "", "write the bound address to `file` after listening")
 	queue := flag.Int("queue", 64, "max queued (admitted but unstarted) jobs; overload beyond this gets 503")
 	workers := flag.Int("workers", 2, "jobs executing concurrently (ignored in partition mode)")
-	machinePEs := flag.Int("machine-pes", 0, "partition mode: share one machine of this many PEs across jobs (0 = classic worker pool)")
-	policy := flag.String("policy", "firstfit", "partition scheduling policy: firstfit, bestfit, or sizeaware")
+	machinePEs := flag.Int("machine-pes", 0, "partition mode: share one machine of this many PEs across jobs (0 = worker pool)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "host goroutines per job for experiment cell fan-out")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache bound, entries (0 = unbounded)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache bound, total value bytes (0 = unbounded)")
@@ -177,14 +176,7 @@ func run() int {
 	opts := experiments.DefaultOptions()
 	opts.Parallelism = *parallel
 	var machine *partition.Machine
-	var schedPolicy partition.Policy
 	if *machinePEs > 0 {
-		p, err := partition.ParsePolicy(*policy)
-		if err != nil {
-			logger.Error("bad policy", "err", err)
-			return 1
-		}
-		schedPolicy = p
 		machineCfg := opts.Config
 		machineCfg.NumPEs = *machinePEs
 		if machineCfg.PEsPerMC > *machinePEs {
@@ -196,13 +188,12 @@ func run() int {
 			return 1
 		}
 		machine = m
-		logger.Info("partition mode", "machine_pes", *machinePEs, "policy", *policy)
+		logger.Info("partition mode", "machine_pes", *machinePEs)
 	}
 	svc := service.New(service.Config{
 		QueueDepth:  *queue,
 		Workers:     *workers,
 		Machine:     machine,
-		Policy:      schedPolicy,
 		Sched:       schedMode,
 		StarveLimit: *starveLimit,
 		Classes:     classDefaults,

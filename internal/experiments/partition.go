@@ -18,9 +18,8 @@ type PartitionClass struct {
 	Cycles int64 // measured standalone run time (= partitioned run time)
 }
 
-// PartitionPolicyRow is one scheduling policy's outcome on the storm.
-type PartitionPolicyRow struct {
-	Policy         string
+// PartitionRow is the first-fit schedule's outcome on the storm.
+type PartitionRow struct {
 	Makespan       int64
 	Speedup        float64 // serial whole-machine baseline / makespan
 	UtilizationPct float64
@@ -30,24 +29,24 @@ type PartitionPolicyRow struct {
 }
 
 // PartitionResult is the partitioned co-scheduling sweep: a mixed-size
-// job storm packed onto the machine under every scheduler policy,
-// against the serial whole-machine baseline. Job durations come from
-// real cell simulations; the subcube isomorphism (which the partition
-// package's differential tests enforce) makes them placement-
-// independent, so the discrete-event schedule is exact and fully
-// deterministic.
+// job storm packed onto the machine first-fit (pasmd's partition
+// dispatcher order), against the serial whole-machine baseline. Job
+// durations come from real cell simulations; the subcube isomorphism
+// (which the partition package's differential tests enforce) makes
+// them placement-independent, so the discrete-event schedule is exact
+// and fully deterministic.
 type PartitionResult struct {
 	MachinePEs     int
 	Classes        []PartitionClass
 	SerialMakespan int64
-	Rows           []PartitionPolicyRow
+	FirstFit       PartitionRow
 	// Obs is the aggregated observability metrics of the measurement
 	// cells (Options.Observe).
 	Obs ObsMetrics
 }
 
 // PartitionSweep measures one cell per size class, builds the storm,
-// and schedules it under every policy.
+// and schedules it first-fit.
 func PartitionSweep(opts Options) (*PartitionResult, error) {
 	cfg := opts.Config
 	r := newRunner(opts)
@@ -113,20 +112,17 @@ func PartitionSweep(opts Options) (*PartitionResult, error) {
 		SerialMakespan: partition.SerialMakespan(jobs),
 		Obs:            r.obs.metrics(),
 	}
-	for _, policy := range partition.Policies() {
-		sim, err := partition.Simulate(cfg.NumPEs, policy, jobs)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: partition policy %s: %w", policy, err)
-		}
-		out.Rows = append(out.Rows, PartitionPolicyRow{
-			Policy:         string(policy),
-			Makespan:       sim.Makespan,
-			Speedup:        stats.Speedup(out.SerialMakespan, sim.Makespan),
-			UtilizationPct: 100 * sim.Utilization,
-			MeanWait:       sim.MeanWait,
-			MaxWait:        sim.MaxWait,
-			PeakFragPct:    100 * sim.PeakFragmentation,
-		})
+	sim, err := partition.Simulate(cfg.NumPEs, jobs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: partition schedule: %w", err)
+	}
+	out.FirstFit = PartitionRow{
+		Makespan:       sim.Makespan,
+		Speedup:        stats.Speedup(out.SerialMakespan, sim.Makespan),
+		UtilizationPct: 100 * sim.Utilization,
+		MeanWait:       sim.MeanWait,
+		MaxWait:        sim.MaxWait,
+		PeakFragPct:    100 * sim.PeakFragmentation,
 	}
 	return out, nil
 }
@@ -146,17 +142,16 @@ func (r *PartitionResult) Render() string {
 		fmt.Sprintf("%8s", "speedup"), fmt.Sprintf("%7s", "util%"),
 		fmt.Sprintf("%10s", "mean wait"), fmt.Sprintf("%10s", "max wait"),
 		fmt.Sprintf("%9s", "peakfrag%"))
-	for _, row := range r.Rows {
-		t.row(fmt.Sprintf("%-10s", row.Policy), fmt.Sprintf("%10d", row.Makespan),
-			fmt.Sprintf("%8.2f", row.Speedup), fmt.Sprintf("%7.1f", row.UtilizationPct),
-			fmt.Sprintf("%10.1f", row.MeanWait), fmt.Sprintf("%10d", row.MaxWait),
-			fmt.Sprintf("%9.1f", row.PeakFragPct))
-	}
+	row := r.FirstFit
+	t.row(fmt.Sprintf("%-10s", "firstfit"), fmt.Sprintf("%10d", row.Makespan),
+		fmt.Sprintf("%8.2f", row.Speedup), fmt.Sprintf("%7.1f", row.UtilizationPct),
+		fmt.Sprintf("%10.1f", row.MeanWait), fmt.Sprintf("%10d", row.MaxWait),
+		fmt.Sprintf("%9.1f", row.PeakFragPct))
 	return t.String()
 }
 
 // Summary flattens the sweep: per-class cell cycles, the serial
-// baseline, and every policy's schedule quality.
+// baseline, and the first-fit schedule's quality.
 func (r *PartitionResult) Summary() map[string]float64 {
 	m := map[string]float64{
 		"machine/pes":     float64(r.MachinePEs),
@@ -166,14 +161,13 @@ func (r *PartitionResult) Summary() map[string]float64 {
 		m[fmt.Sprintf("cell/p=%d/cycles", c.PEs)] = float64(c.Cycles)
 		m[fmt.Sprintf("cell/p=%d/jobs", c.PEs)] = float64(c.Count)
 	}
-	for _, row := range r.Rows {
-		m[fmt.Sprintf("policy/%s/makespan", row.Policy)] = float64(row.Makespan)
-		m[fmt.Sprintf("policy/%s/speedup", row.Policy)] = row.Speedup
-		m[fmt.Sprintf("policy/%s/utilization_pct", row.Policy)] = row.UtilizationPct
-		m[fmt.Sprintf("policy/%s/mean_wait", row.Policy)] = row.MeanWait
-		m[fmt.Sprintf("policy/%s/max_wait", row.Policy)] = float64(row.MaxWait)
-		m[fmt.Sprintf("policy/%s/peak_frag_pct", row.Policy)] = row.PeakFragPct
-	}
+	row := r.FirstFit
+	m["policy/firstfit/makespan"] = float64(row.Makespan)
+	m["policy/firstfit/speedup"] = row.Speedup
+	m["policy/firstfit/utilization_pct"] = row.UtilizationPct
+	m["policy/firstfit/mean_wait"] = row.MeanWait
+	m["policy/firstfit/max_wait"] = float64(row.MaxWait)
+	m["policy/firstfit/peak_frag_pct"] = row.PeakFragPct
 	r.Obs.into(m)
 	return m
 }

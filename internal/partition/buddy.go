@@ -17,11 +17,11 @@
 //     (escube.Subcube), so a job on PEs 32..63 is cycle-identical to
 //     the same job on a standalone 32-PE machine — the identity the
 //     differential tests pin.
-//   - Scheduler policies (Pick) and the deterministic co-scheduling
-//     simulator (Simulate): how pasmd packs queued jobs onto free
-//     partitions, and the discrete-event model the ext-partition
-//     experiment and the partition benchmark use to compare policies
-//     on the simulated clock.
+//   - The deterministic co-scheduling simulator (Simulate): the
+//     discrete-event model of first-fit packing (the earliest pending
+//     job that fits starts next, as in pasmd's partition mode) that
+//     the ext-partition experiment and the partition benchmark run on
+//     the simulated clock.
 package partition
 
 import (
@@ -118,7 +118,7 @@ func (b *Buddy) LargestFree() int {
 
 // FitOrder returns the order of the smallest free block that can
 // serve a partition of pes PEs, and whether one exists. This is the
-// scheduler's fit probe: ok means an Alloc(pes) would succeed, and
+// co-scheduling simulator's fit probe: ok means an Alloc(pes) would succeed, and
 // order - orderOf(blockFor(pes)) is how many splits it would cost.
 func (b *Buddy) FitOrder(pes int) (int, bool) {
 	if !ValidPEs(pes, b.total) {

@@ -74,13 +74,15 @@ func (m *Machine) FreePEs() int {
 	return m.buddy.FreePEs()
 }
 
-// FitOrder reports whether a partition of pes PEs can be allocated
-// right now, and if so the order of the smallest free block that
-// would serve it (the scheduler policies' fit probe).
-func (m *Machine) FitOrder(pes int) (int, bool) {
+// LargestFree returns the size of the largest free block (0 when the
+// machine is full). A partition of pes PEs can be allocated right now
+// iff pes <= LargestFree(): the partition dispatcher's fit probe, read
+// once per pick so every queued job is tested against the same free
+// state.
+func (m *Machine) LargestFree() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.buddy.FitOrder(pes)
+	return m.buddy.LargestFree()
 }
 
 // Lease is an allocated partition: a block of PEs and the subcube

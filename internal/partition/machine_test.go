@@ -43,8 +43,8 @@ func TestMachineAcquireAlignment(t *testing.T) {
 	if l2.Base != 12 {
 		t.Errorf("2-PE partition at base %d, want 12", l2.Base)
 	}
-	if m.FreePEs() != 2 {
-		t.Errorf("FreePEs = %d, want 2", m.FreePEs())
+	if m.FreePEs() != 2 || m.LargestFree() != 2 {
+		t.Errorf("FreePEs = %d, LargestFree = %d, want 2, 2", m.FreePEs(), m.LargestFree())
 	}
 	// A 4-PE partition needs an aligned subcube: only 14..15 remain.
 	if _, err := m.Acquire(4); err == nil {
@@ -53,8 +53,8 @@ func TestMachineAcquireAlignment(t *testing.T) {
 	if err := l4.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreePEs() != 6 {
-		t.Errorf("FreePEs after release = %d", m.FreePEs())
+	if m.FreePEs() != 6 || m.LargestFree() != 4 {
+		t.Errorf("after release: FreePEs = %d, LargestFree = %d, want 6, 4", m.FreePEs(), m.LargestFree())
 	}
 	// Now 8..11 is free and aligned again.
 	if _, err := m.Acquire(4); err != nil {

@@ -9,7 +9,7 @@ import (
 // partition scheduler on the SIMULATED clock. Job durations come from
 // real standalone cell simulations — which the subcube isomorphism
 // makes exact for any placement — so packing those durations onto the
-// machine with a policy reproduces, deterministically, the timeline a
+// machine first-fit reproduces, deterministically, the timeline a
 // host-concurrent partitioned run would take. The ext-partition
 // experiment and the partition benchmark are built on it.
 
@@ -39,10 +39,9 @@ type SimJobResult struct {
 	Wait int64 `json:"wait"`
 }
 
-// SimResult summarizes one policy's schedule of a job set.
+// SimResult summarizes the schedule of a job set.
 type SimResult struct {
-	Policy Policy         `json:"policy"`
-	Jobs   []SimJobResult `json:"jobs"`
+	Jobs []SimJobResult `json:"jobs"`
 	// Makespan is the finish time of the last job.
 	Makespan int64 `json:"makespan"`
 	// BusyPECycles sums PEs*Cycles over the jobs: the useful work.
@@ -57,11 +56,13 @@ type SimResult struct {
 	PeakFragmentation float64 `json:"peak_fragmentation"`
 }
 
-// Simulate schedules jobs onto a totalPEs machine under the given
-// policy and returns the resulting timeline. Fully deterministic:
-// ties in time break by submission order, and allocation always takes
-// the lowest free base.
-func Simulate(totalPEs int, policy Policy, jobs []SimJob) (SimResult, error) {
+// Simulate schedules jobs onto a totalPEs machine first-fit — at each
+// event the earliest-arrived pending job that fits starts, so later
+// small jobs backfill past a large job that cannot be placed yet —
+// and returns the resulting timeline. Fully deterministic: ties in
+// time break by submission order, and allocation always takes the
+// lowest free base.
+func Simulate(totalPEs int, jobs []SimJob) (SimResult, error) {
 	buddy, err := NewBuddy(totalPEs)
 	if err != nil {
 		return SimResult{}, err
@@ -89,7 +90,7 @@ func Simulate(totalPEs int, policy Policy, jobs []SimJob) (SimResult, error) {
 		base   int
 		finish int64
 	}
-	res := SimResult{Policy: policy, Jobs: make([]SimJobResult, len(jobs))}
+	res := SimResult{Jobs: make([]SimJobResult, len(jobs))}
 	var (
 		pending []int // job indices in arrival order
 		active  []running
@@ -136,15 +137,15 @@ func Simulate(totalPEs int, policy Policy, jobs []SimJob) (SimResult, error) {
 			next++
 		}
 
-		// Place as many pending jobs as the policy and free state
-		// allow.
-		sizes := make([]int, len(pending))
+		// Place pending jobs first-fit until none fits.
 		for {
-			sizes = sizes[:len(pending)]
+			pick := -1
 			for i, idx := range pending {
-				sizes[i] = jobs[idx].PEs
+				if _, ok := buddy.FitOrder(jobs[idx].PEs); ok {
+					pick = i
+					break
+				}
 			}
-			pick := Pick(buddy, policy, sizes)
 			if pick < 0 {
 				break
 			}

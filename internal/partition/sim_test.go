@@ -13,7 +13,7 @@ func TestSimulateBackfill(t *testing.T) {
 		{Name: "a", PEs: 4, Cycles: 50, Arrival: 10},
 		{Name: "b", PEs: 4, Cycles: 50, Arrival: 10},
 	}
-	res, err := Simulate(16, PolicyFirstFit, jobs)
+	res, err := Simulate(16, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSimulateFragmentationStall(t *testing.T) {
 		{Name: "short2", PEs: 4, Cycles: 10, Arrival: 0},
 		{Name: "big", PEs: 8, Cycles: 20, Arrival: 5},
 	}
-	res, err := Simulate(16, PolicyFirstFit, jobs)
+	res, err := Simulate(16, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,37 +89,35 @@ func TestSimulateDeterministic(t *testing.T) {
 		{Name: "d", PEs: 16, Cycles: 40, Arrival: 25},
 		{Name: "e", PEs: 2, Cycles: 15, Arrival: 25},
 	}
-	for _, policy := range Policies() {
-		first, err := Simulate(16, policy, jobs)
+	first, err := Simulate(16, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := Simulate(16, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			again, err := Simulate(16, policy, jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(first, again) {
-				t.Fatalf("%s: run %d diverged:\n%+v\n%+v", policy, i, first, again)
-			}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d diverged:\n%+v\n%+v", i, first, again)
 		}
 	}
 }
 
 func TestSimulateErrors(t *testing.T) {
-	if _, err := Simulate(16, PolicyFirstFit, []SimJob{{Name: "x", PEs: 3, Cycles: 1}}); err == nil {
+	if _, err := Simulate(16, []SimJob{{Name: "x", PEs: 3, Cycles: 1}}); err == nil {
 		t.Error("non-power-of-two job size accepted")
 	}
-	if _, err := Simulate(16, PolicyFirstFit, []SimJob{{Name: "x", PEs: 32, Cycles: 1}}); err == nil {
+	if _, err := Simulate(16, []SimJob{{Name: "x", PEs: 32, Cycles: 1}}); err == nil {
 		t.Error("oversize job accepted")
 	}
-	if _, err := Simulate(16, PolicyFirstFit, []SimJob{{Name: "x", PEs: 4, Cycles: -1}}); err == nil {
+	if _, err := Simulate(16, []SimJob{{Name: "x", PEs: 4, Cycles: -1}}); err == nil {
 		t.Error("negative cycles accepted")
 	}
-	if _, err := Simulate(3, PolicyFirstFit, nil); err == nil {
+	if _, err := Simulate(3, nil); err == nil {
 		t.Error("non-power-of-two machine accepted")
 	}
-	res, err := Simulate(16, PolicyFirstFit, nil)
+	res, err := Simulate(16, nil)
 	if err != nil || res.Makespan != 0 {
 		t.Errorf("empty job set: %+v, %v", res, err)
 	}

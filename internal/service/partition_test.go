@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -198,15 +199,15 @@ func TestPartitionDrain(t *testing.T) {
 }
 
 // TestPartitionHealthAndMetrics: partition mode shows up in /healthz
-// (machine size, policy) and /metrics (machine gauges, wait quantiles).
+// (machine size) and /metrics (machine gauges, wait quantiles).
 func TestPartitionHealthAndMetrics(t *testing.T) {
-	s := New(Config{QueueDepth: 8, Machine: newServiceMachine(t, 32), Policy: partition.PolicyBestFit,
+	s := New(Config{QueueDepth: 8, Machine: newServiceMachine(t, 32),
 		run: func(context.Context, experiments.Spec) ([]byte, error) { return []byte("x\n"), nil }})
 	defer s.Shutdown(context.Background())
 
 	h := s.Health()
-	if h.MachinePEs != 32 || h.Policy != "bestfit" {
-		t.Errorf("health = %+v, want machine_pes=32 policy=bestfit", h)
+	if h.MachinePEs != 32 {
+		t.Errorf("health = %+v, want machine_pes=32", h)
 	}
 
 	st, err := s.Submit(specN(9), time.Time{})
@@ -234,7 +235,136 @@ func TestPartitionHealthAndMetrics(t *testing.T) {
 	if _, ok := classic.Metrics()["partition/pes_total"]; ok {
 		t.Error("classic mode reports partition metrics")
 	}
-	if h := classic.Health(); h.MachinePEs != 0 || h.Policy != "" {
+	if h := classic.Health(); h.MachinePEs != 0 {
 		t.Errorf("classic health carries partition fields: %+v", h)
+	}
+}
+
+// wholeSpec is a distinct (by seed) cell that needs a 16-PE machine.
+func wholeSpec(seed uint32) experiments.Spec {
+	return experiments.Spec{
+		Cells: []experiments.CellSpec{{N: 16, P: 16, Muls: 1, Mode: "simd"}},
+		PEs:   16,
+		Seed:  seed,
+	}
+}
+
+// waitInflight polls until n jobs are executing.
+func waitInflight(t *testing.T, s *Service, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Health().InFlight != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("inflight = %d, want %d", s.Health().InFlight, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueueDepthBoundBothModes: QueueDepth bounds the backlog in
+// partition mode exactly as in pool mode. With one whole-machine job
+// running and QueueDepth 2, nine more submits queue two and reject
+// seven, and /healthz and /metrics report the two waiting jobs.
+func TestQueueDepthBoundBothModes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		machine *partition.Machine
+	}{
+		{"pool", nil},
+		{"partition", newServiceMachine(t, 16)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGatedRunner()
+			s := New(Config{QueueDepth: 2, Workers: 1, Machine: tc.machine, run: g.run})
+			defer func() { g.release(); s.Shutdown(context.Background()) }()
+
+			if _, err := s.Submit(wholeSpec(1), time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			waitInflight(t, s, 1)
+			accepted, rejected := 1, 0
+			for seed := uint32(2); seed <= 10; seed++ {
+				_, err := s.Submit(wholeSpec(seed), time.Time{})
+				var full *QueueFullError
+				switch {
+				case err == nil:
+					accepted++
+				case errors.As(err, &full):
+					rejected++
+				default:
+					t.Fatalf("submit %d: %v", seed, err)
+				}
+			}
+			if accepted != 3 || rejected != 7 {
+				t.Errorf("accepted %d, rejected %d; want 3 and 7", accepted, rejected)
+			}
+			if h := s.Health(); h.QueueDepth != 2 {
+				t.Errorf("healthz queue_depth = %d, want 2", h.QueueDepth)
+			}
+			if d := s.Metrics()["service/queue_depth"]; d != 2 {
+				t.Errorf("service/queue_depth = %v, want 2", d)
+			}
+		})
+	}
+}
+
+// TestOneDispatchPath: pool mode with one worker and partition mode on
+// a 16-PE machine where every job needs the whole machine start the
+// same submit sequence in the same order, under FCFS and under SJF —
+// the two modes are one dispatcher with different capacity tests.
+func TestOneDispatchPath(t *testing.T) {
+	subs := []struct {
+		exp   string
+		class string
+		slo   int64
+	}{
+		{"fig6", "", 0}, // runs first, while the rest queue
+		{"ext-workloads", "", 0},
+		{"fig6", "interactive", 50},
+		{"table1", "", 0},
+		{"table1", "interactive", 50},
+		{"fig7", "", 0},
+	}
+	startOrder := func(sched SchedulerMode, machine *partition.Machine) []uint32 {
+		var mu sync.Mutex
+		var order []uint32
+		gate := make(chan struct{})
+		s := New(Config{QueueDepth: 16, Workers: 1, Machine: machine, Sched: sched,
+			run: func(_ context.Context, spec experiments.Spec) ([]byte, error) {
+				mu.Lock()
+				order = append(order, spec.Seed)
+				mu.Unlock()
+				<-gate
+				return []byte("x\n"), nil
+			}})
+		for i, sub := range subs {
+			spec := experiments.Spec{Exps: []string{sub.exp}, PEs: 16, Seed: uint32(i)}
+			if _, err := s.SubmitWith(spec, SubmitOpts{Class: sub.class, SLOMs: sub.slo}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				waitInflight(t, s, 1)
+			}
+		}
+		close(gate)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return order
+	}
+	for _, tc := range []struct {
+		sched SchedulerMode
+		want  []uint32
+	}{
+		{SchedFCFS, []uint32{0, 1, 2, 3, 4, 5}},
+		{SchedSJF, []uint32{0, 4, 2, 3, 5, 1}},
+	} {
+		pool := startOrder(tc.sched, nil)
+		parted := startOrder(tc.sched, newServiceMachine(t, 16))
+		if !reflect.DeepEqual(pool, tc.want) || !reflect.DeepEqual(parted, tc.want) {
+			t.Errorf("%s start order: pool %v, partition %v, want %v", tc.sched, pool, parted, tc.want)
+		}
 	}
 }

@@ -3,9 +3,9 @@ package service
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/model"
@@ -123,25 +123,24 @@ func predictCost(spec experiments.Spec) float64 {
 	return c
 }
 
-// schedQueue replaces the buffered channel between Submit and the
-// workers/dispatcher: a close-then-drain queue whose Pop order is the
-// scheduling policy. Like the channel it replaces, Pop keeps
-// returning entries after Close until the queue is empty, so graceful
-// drain semantics are unchanged; unlike the channel, SJF mode may
-// reorder what drains first.
+// schedQueue is the service's one backlog: every admitted job waits
+// here until the dispatcher places it. TryPop's order is the
+// scheduling policy restricted to the jobs that fit the free
+// capacity, so pool mode (whole-machine worker slots) and partition
+// mode (free subcubes) share one pick. Entries keep popping after
+// Close until the queue is empty, so graceful drain loses nothing.
 type schedQueue struct {
 	mode        SchedulerMode
 	starveLimit int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	entries []*job // arrival order
-	closed  bool
-	// arrivals nudges the partition dispatcher (size 1; the dispatcher
-	// re-drains the whole queue per wake, so collapsed signals are
-	// harmless).
-	arrivals chan struct{}
+	mu       sync.Mutex
+	entries  []*job // arrival order
+	closed   bool
 	promoted int64 // aging promotions (metric)
+	// wake nudges the dispatcher on every push, close and job
+	// completion (size 1: the dispatcher re-scans the whole queue per
+	// wake, so collapsed signals are harmless).
+	wake chan struct{}
 }
 
 func newSchedQueue(mode SchedulerMode, starveLimit int) *schedQueue {
@@ -151,9 +150,15 @@ func newSchedQueue(mode SchedulerMode, starveLimit int) *schedQueue {
 	if starveLimit <= 0 {
 		starveLimit = DefaultStarveLimit
 	}
-	q := &schedQueue{mode: mode, starveLimit: starveLimit, arrivals: make(chan struct{}, 1)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &schedQueue{mode: mode, starveLimit: starveLimit, wake: make(chan struct{}, 1)}
+}
+
+// nudge wakes the dispatcher without blocking.
+func (q *schedQueue) nudge() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Push appends an arrival. The caller (Submit, under Service.mu) has
@@ -166,11 +171,7 @@ func (q *schedQueue) Push(j *job) {
 	}
 	q.entries = append(q.entries, j)
 	q.mu.Unlock()
-	q.cond.Signal()
-	select {
-	case q.arrivals <- struct{}{}:
-	default:
-	}
+	q.nudge()
 }
 
 // Len returns the queued-job count.
@@ -192,69 +193,86 @@ func (q *schedQueue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.cond.Broadcast()
-	select {
-	case q.arrivals <- struct{}{}:
-	default:
-	}
+	q.nudge()
 }
 
-// Pop blocks for the next job under the scheduling policy. ok=false
-// means closed and fully drained (the `for j := range queue` exit).
-func (q *schedQueue) Pop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.entries) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.entries) == 0 {
-		return nil, false
-	}
-	return q.takeLocked(q.pickLocked()), true
-}
-
-// TryPop is Pop without blocking; ok=false means currently empty.
-func (q *schedQueue) TryPop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		return nil, false
-	}
-	return q.takeLocked(q.pickLocked()), true
-}
-
-// Drained reports closed-and-empty (the partition dispatcher's exit
-// condition).
+// Drained reports closed-and-empty (the dispatcher's exit condition).
 func (q *schedQueue) Drained() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.closed && len(q.entries) == 0
 }
 
-func (q *schedQueue) takeLocked(idx int) *job {
+// anyFits is the fit predicate of a queue with unlimited capacity.
+func anyFits(int) bool { return true }
+
+// TryPop removes and returns the next job under the scheduling policy
+// among the entries whose pes fits; ok=false means none fits (or the
+// queue is empty).
+func (q *schedQueue) TryPop(fits func(pes int) bool) (*job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	idx := q.pickLocked(fits)
+	if idx < 0 {
+		return nil, false
+	}
 	j := q.entries[idx]
 	q.entries = append(q.entries[:idx], q.entries[idx+1:]...)
-	return j
+	return j, true
 }
 
-// pickLocked chooses the next entry index. FCFS: strict arrival
-// order. SJF: the aging rule first — the oldest entry bypassed at
-// least starveLimit times is promoted, unless promoting it would push
-// a more-urgent waiter past starveLimit bypasses of its own (the veto
-// that bounds every urgent job's total bypasses) — then the best
-// (class priority, predicted cost, arrival) triple. Bookkeeping: a
-// normal pick charges one bypass to every strictly-less-urgent
-// waiter; a promotion charges one to every strictly-more-urgent
-// waiter.
-func (q *schedQueue) pickLocked() int {
-	if q.mode != SchedSJF || len(q.entries) == 1 {
-		return 0
+// Shed removes and returns every entry whose deadline is before now.
+func (q *schedQueue) Shed(now time.Time) []*job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var shed []*job
+	kept := q.entries[:0]
+	for _, j := range q.entries {
+		if !j.deadline.IsZero() && now.After(j.deadline) {
+			shed = append(shed, j)
+			continue
+		}
+		kept = append(kept, j)
 	}
-	aged := -1
+	clear(q.entries[len(kept):])
+	q.entries = kept
+	return shed
+}
+
+// pickLocked chooses the next entry index among those that fit, or -1.
+// FCFS: the earliest fitting arrival. SJF: the aging rule first — the
+// oldest fitting entry bypassed at least starveLimit times is
+// promoted, unless promoting it would push a more-urgent waiter past
+// starveLimit bypasses of its own (the veto that bounds every urgent
+// job's total bypasses) — then the best fitting (class priority,
+// predicted cost, arrival) triple. Bookkeeping covers every waiter,
+// fitting or not: a normal pick charges one bypass to every
+// strictly-less-urgent waiter; a promotion charges one to every
+// strictly-more-urgent waiter. When every entry fits, this is plain
+// SJF over the whole queue.
+func (q *schedQueue) pickLocked(fits func(pes int) bool) int {
+	if q.mode != SchedSJF || len(q.entries) == 1 {
+		for i, e := range q.entries {
+			if fits(e.spec.PEs) {
+				return i
+			}
+		}
+		return -1
+	}
+	aged, best := -1, -1
 	for i, e := range q.entries {
+		if !fits(e.spec.PEs) {
+			continue
+		}
 		if e.skipped >= q.starveLimit && (aged < 0 || e.seq < q.entries[aged].seq) {
 			aged = i
 		}
+		if best < 0 || schedLess(e, q.entries[best]) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return -1
 	}
 	if aged >= 0 {
 		ok := true
@@ -272,12 +290,6 @@ func (q *schedQueue) pickLocked() int {
 			}
 			q.promoted++
 			return aged
-		}
-	}
-	best := 0
-	for i := 1; i < len(q.entries); i++ {
-		if schedLess(q.entries[i], q.entries[best]) {
-			best = i
 		}
 	}
 	for i, e := range q.entries {
@@ -298,15 +310,4 @@ func schedLess(a, b *job) bool {
 		return a.cost < b.cost
 	}
 	return a.seq < b.seq
-}
-
-// sortPending orders the partition dispatcher's backlog with the same
-// policy, so a freed region is offered to the most urgent, cheapest
-// fit first (the per-pop aging accounting applies to pool mode; the
-// dispatcher re-sorts its whole backlog each round instead).
-func (q *schedQueue) sortPending(pending []*job) {
-	if q.mode != SchedSJF {
-		return
-	}
-	sort.SliceStable(pending, func(i, k int) bool { return schedLess(pending[i], pending[k]) })
 }

@@ -51,7 +51,7 @@ func TestSchedSJFOrdering(t *testing.T) {
 		}
 		var prev *job
 		for range jobs {
-			j, ok := q.TryPop()
+			j, ok := q.TryPop(anyFits)
 			if !ok {
 				return false
 			}
@@ -61,7 +61,7 @@ func TestSchedSJFOrdering(t *testing.T) {
 			}
 			prev = j
 		}
-		_, ok := q.TryPop()
+		_, ok := q.TryPop(anyFits)
 		return !ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
@@ -78,7 +78,7 @@ func TestSchedFCFSIsArrivalOrder(t *testing.T) {
 			q.Push(j)
 		}
 		for i := range jobs {
-			j, ok := q.TryPop()
+			j, ok := q.TryPop(anyFits)
 			if !ok || j.seq != i {
 				return false
 			}
@@ -116,7 +116,7 @@ func TestSchedBoundedBypass(t *testing.T) {
 			next++
 		}
 		pop := func() bool {
-			j, ok := q.TryPop()
+			j, ok := q.TryPop(anyFits)
 			if !ok {
 				return true
 			}
@@ -160,7 +160,7 @@ func TestSchedAgingPromotes(t *testing.T) {
 	for i := 0; i < 2*limit; i++ {
 		q.Push(mkJob(seq, 10, 1e4))
 		seq++
-		j, ok := q.TryPop()
+		j, ok := q.TryPop(anyFits)
 		if !ok {
 			t.Fatal("queue unexpectedly empty")
 		}
@@ -191,7 +191,7 @@ func TestSchedPromotionVeto(t *testing.T) {
 	urgent.bypassed = limit
 	q.Push(batch)
 	q.Push(urgent)
-	j, ok := q.TryPop()
+	j, ok := q.TryPop(anyFits)
 	if !ok || j != urgent {
 		t.Fatalf("veto failed: urgent job with %d bypasses was overtaken again", limit)
 	}
@@ -260,30 +260,91 @@ func TestPredictCostRanks(t *testing.T) {
 	}
 }
 
-func TestSortPending(t *testing.T) {
-	jobs := []*job{
-		mkJob(0, 0, 900), // best-effort, expensive
-		mkJob(1, 50, 40), // urgent, mid
-		mkJob(2, 50, 10), // urgent, cheapest
-		mkJob(3, 0, 5),   // best-effort, cheap
+// sized sets a queued job's partition size.
+func sized(j *job, pes int) *job {
+	j.spec.PEs = pes
+	return j
+}
+
+// fitsUpTo is a fit predicate for a machine with free blocks of at
+// most max PEs.
+func fitsUpTo(max int) func(int) bool {
+	return func(pes int) bool { return pes <= max }
+}
+
+// TestPickFCFSBackfills: FCFS takes the earliest entry that fits,
+// backfilling past a head that does not; nothing fitting pops nothing
+// and leaves the queue intact.
+func TestPickFCFSBackfills(t *testing.T) {
+	q := newSchedQueue(SchedFCFS, 0)
+	for i, pes := range []int{16, 4, 2, 8} {
+		q.Push(sized(mkJob(i, 0, 1), pes))
 	}
-	sjf := newSchedQueue(SchedSJF, DefaultStarveLimit)
-	got := append([]*job(nil), jobs...)
-	sjf.sortPending(got)
-	want := []int{2, 1, 3, 0}
-	for i, w := range want {
-		if got[i].seq != w {
-			t.Fatalf("sjf sortPending[%d] = seq %d, want %d", i, got[i].seq, w)
-		}
+	if j, ok := q.TryPop(fitsUpTo(8)); !ok || j.seq != 1 {
+		t.Fatalf("TryPop = %v, %v; want seq 1 (earliest fitting job)", j, ok)
 	}
-	// FCFS mode leaves the backlog untouched.
-	fcfs := newSchedQueue(SchedFCFS, DefaultStarveLimit)
-	got = append([]*job(nil), jobs...)
-	fcfs.sortPending(got)
-	for i := range jobs {
-		if got[i] != jobs[i] {
-			t.Fatal("fcfs sortPending reordered the backlog")
-		}
+	if j, ok := q.TryPop(fitsUpTo(1)); ok {
+		t.Fatalf("TryPop popped seq %d with nothing fitting", j.seq)
+	}
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d after a no-fit pick, want 3", q.Len())
+	}
+	if j, ok := q.TryPop(anyFits); !ok || j.seq != 0 {
+		t.Fatalf("TryPop = %v, %v; want the head once it fits", j, ok)
+	}
+}
+
+// TestPickSJFSkipsNonFittingUrgent: SJF chooses among the entries that
+// fit, so an urgent job too large for the free capacity is passed
+// over for the cheapest fitting job; its more-urgent class is not
+// charged a skip. A less-urgent waiter is charged even when it does
+// not fit.
+func TestPickSJFSkipsNonFittingUrgent(t *testing.T) {
+	q := newSchedQueue(SchedSJF, DefaultStarveLimit)
+	urgent := sized(mkJob(0, 50, 10), 16)
+	costly := sized(mkJob(1, 0, 900), 4)
+	cheap := sized(mkJob(2, 0, 5), 2)
+	q.Push(urgent)
+	q.Push(costly)
+	q.Push(cheap)
+	if j, ok := q.TryPop(fitsUpTo(8)); !ok || j != cheap {
+		t.Fatalf("TryPop = %v, %v; want the cheapest fitting job", j, ok)
+	}
+	if urgent.skipped != 0 || costly.skipped != 0 {
+		t.Fatalf("skips charged: urgent %d, costly %d; want 0, 0", urgent.skipped, costly.skipped)
+	}
+	if j, ok := q.TryPop(anyFits); !ok || j != urgent {
+		t.Fatalf("TryPop = %v, %v; want the urgent job once it fits", j, ok)
+	}
+	if costly.skipped != 1 {
+		t.Fatalf("costly.skipped = %d, want 1 (bypassed by the urgent job)", costly.skipped)
+	}
+
+	// Charges reach waiters that do not fit.
+	q = newSchedQueue(SchedSJF, DefaultStarveLimit)
+	big := sized(mkJob(0, 0, 5), 16)
+	small := sized(mkJob(1, 50, 10), 2)
+	q.Push(big)
+	q.Push(small)
+	if j, ok := q.TryPop(fitsUpTo(8)); !ok || j != small || big.skipped != 1 {
+		t.Fatalf("TryPop = %v, %v, big.skipped = %d; want small, and one skip on big", j, ok, big.skipped)
+	}
+}
+
+// TestPickSJFAgedMustFit: an aged job that does not fit is not
+// promoted; the pick falls back to the best fitting entry.
+func TestPickSJFAgedMustFit(t *testing.T) {
+	q := newSchedQueue(SchedSJF, 2)
+	aged := sized(mkJob(0, 0, 1e7), 16)
+	aged.skipped = 2
+	urgent := sized(mkJob(1, 50, 10), 4)
+	q.Push(aged)
+	q.Push(urgent)
+	if j, ok := q.TryPop(fitsUpTo(8)); !ok || j != urgent || q.Promoted() != 0 {
+		t.Fatalf("TryPop = %v, %v, promoted %d; want the urgent job and no promotion", j, ok, q.Promoted())
+	}
+	if j, ok := q.TryPop(anyFits); !ok || j != aged {
+		t.Fatalf("TryPop = %v, %v; want the aged job once it fits", j, ok)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -523,5 +524,34 @@ func TestFillValidation(t *testing.T) {
 	}
 	if m := s.Metrics(); m["service/peer_fill_rejects"] != float64(len(cases)) {
 		t.Errorf("peer_fill_rejects = %v, want %d", m["service/peer_fill_rejects"], len(cases))
+	}
+}
+
+// TestJobsNewestFirst: Jobs orders by creation time, then creation
+// sequence. A job created on a whole second formats without a
+// fractional part in RFC 3339 ("...:00Z"), which sorts after
+// "...:00.1Z" as a string, so the order must come from the times.
+func TestJobsNewestFirst(t *testing.T) {
+	clk := &fakeClock{}
+	clk.advance(time.Hour) // a whole second
+	g := newGatedRunner()
+	s := New(Config{Workers: 1, QueueDepth: 8, run: g.run, now: clk.now})
+	defer func() { g.release(); s.Shutdown(context.Background()) }()
+
+	var want []string
+	for i, step := range []time.Duration{0, 100 * time.Millisecond, 0} {
+		clk.advance(step)
+		st, err := s.Submit(specN(uint32(i+1)), time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append([]string{st.ID}, want...)
+	}
+	var got []string
+	for _, st := range s.Jobs() {
+		got = append(got, st.ID)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Jobs() order = %v, want newest first %v", got, want)
 	}
 }

@@ -24,8 +24,8 @@
 # The `partition` mode runs the ext-partition co-scheduling sweep on a
 # 64-PE machine (override with a third argument) and writes
 # BENCH_partition.json: makespan, speedup, utilization, and peak
-# fragmentation of a mixed-size job storm under each scheduling policy
-# against the serial whole-machine baseline.
+# fragmentation of a mixed-size job storm packed first-fit against the
+# serial whole-machine baseline.
 set -eu
 
 cd "$(dirname "$0")/.."
